@@ -5,10 +5,11 @@ Run from the root of a source checkout:
 
     python3 perfbench/run.py --workload tc_closure --seed 1 --seconds 10 --trace 0
 
-The engine and the benchmark are built from source with dune
-(``perfbench/wdlperf.exe``), then run with the given arguments. The last
-line of standard output is the result object. Build output goes to
-standard error; a failed build exits non-zero without printing a result.
+The engine and the benchmark are built from source with dune in the
+``bench`` profile (``perfbench/wdlperf.exe`` exists only there), then
+run with the given arguments. The last line of standard output is the
+result object. Build output goes to standard error; a failed build exits
+non-zero without printing a result.
 """
 
 import os
@@ -28,7 +29,7 @@ def main(argv):
     env = dict(os.environ, DUNE_CACHE="disabled")
     try:
         build = subprocess.run(
-            ["dune", "build", "--root", ROOT, "./perfbench/wdlperf.exe"],
+            ["dune", "build", "--root", ROOT, "--profile", "bench", "./perfbench/wdlperf.exe"],
             cwd=ROOT, env=env, stdout=sys.stderr, stderr=sys.stderr, timeout=850)
     except (OSError, subprocess.TimeoutExpired) as e:
         print("perfbench: build failed: %s" % e, file=sys.stderr)

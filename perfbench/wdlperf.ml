@@ -9,8 +9,7 @@
    untraced ones and the run reports the per-layer metrics.
 
    Usage: wdlperf --workload tc_closure|wepic_tcp|wepic_inmem --seed N
-            --seconds S --trace 0|1 [--size full|small] [--state-dir D]
-          wdlperf --selftest *)
+            --seconds S --trace 0|1 [--size full|small] [--state-dir D] *)
 
 open Wdl_syntax
 module Peer = Webdamlog.Peer
@@ -176,18 +175,19 @@ let two_machines ~traced attendees =
 (* [Wepic.run] stops when no peer has work and the transports hold
    nothing deliverable; a frame still inside the kernel between the two
    endpoints is invisible to that check. Wait for it (polling the
-   endpoints reads the sockets) and run again. *)
-let rec settle_tcp w (m : machines) total =
+   endpoints reads the sockets) and run again. The polls go through
+   [tr], the transport handed to [Wepic]. *)
+let rec settle_tcp w (m : machines) tr total =
   match Wepic.run w with
   | Error e -> Error e
   | Ok rounds ->
     let deadline = now () +. 5. in
-    while m.in_flight () > 0 && m.transport.Transport.pending () = 0 && now () < deadline do
+    while m.in_flight () > 0 && tr.Transport.pending () = 0 && now () < deadline do
       Unix.sleepf 20e-6
     done;
     if m.in_flight () = 0 then Ok (total + rounds)
     else if now () >= deadline then Error "frames still in flight after 5 s"
-    else settle_tcp w m (total + rounds)
+    else settle_tcp w m tr (total + rounds)
 
 let wepic_ask w op =
   Result.map (fun a -> a.Peer.rows)
@@ -249,7 +249,9 @@ let wepic_env ~traced ~tcp ~state ~seed (size : Gen.wepic_size) =
   in
   let w = Wepic.create ?transport () in
   let settle () =
-    match machines with Some m -> settle_tcp w m 0 | None -> Wepic.run w
+    match machines, transport with
+    | Some m, Some tr -> settle_tcp w m tr 0
+    | _ -> Wepic.run w
   in
   Wdl_wepic.Workload.populate w (Gen.spec size ~seed);
   ignore (must "initial run" (settle ()));
@@ -326,8 +328,7 @@ let workload ~name ~seed ~small =
 
 (* {1 Episodes} *)
 
-(* One episode's figures; see [best_latencies] and [over] for how a run
-   combines them. *)
+(* One episode's figures; see [over] for how a run combines them. *)
 type ep = {
   setup_time : float;
   latency : float array;  (** op span in seconds, by position in the stream *)
@@ -360,19 +361,9 @@ let wire_bytes (v : Probe.view) =
 
 let heap_words () = (Gc.quick_stat ()).Gc.heap_words
 
-external allowed_cpus : unit -> int array = "wdlperf_allowed_cpus"
-external pin : int -> bool = "wdlperf_pin"
-
-let cpus = allowed_cpus ()
-
 let episode t wl ~traced ~state =
   rm_rf state;
   mkdir_p state;
-  (* Successive episodes of one kind take turns on the CPUs this
-     process may use: on a shared host each CPU slows down on its own,
-     and an op's best-of-N should see all of them. *)
-  if Array.length cpus > 1 then
-    ignore (pin cpus.(List.length t.eps mod Array.length cpus));
   Gc.compact ();
   let t0 = now () in
   let env = wl.setup ~traced ~state in
@@ -466,42 +457,32 @@ let percentile xs p =
 let median xs = percentile xs 0.5
 let per n x = if n = 0 then 0. else x /. float_of_int n
 
-(* Every episode replays the same ops on the same states, so op [i]'s
-   latency is measured once per episode. A run takes, for each op, its
-   best latency over the episodes: interference on a shared host only
-   ever adds time, and a slow stretch rarely covers every repeat of an
-   op. Percentiles and throughput are then taken over those per-op
-   latencies. Set-up takes the median over episodes; counts repeat. *)
-let best_latencies t =
-  match t.eps with
-  | [] -> [||]
-  | e :: rest ->
-    let best = Array.copy e.latency in
-    List.iter (fun e -> Array.iteri (fun i x -> best.(i) <- Float.min best.(i) x) e.latency) rest;
-    best
-
+(* Every figure is taken per episode, over all of its ops, and a run
+   reports the median over its episodes: a stall, a late frame or a GC
+   slice counts wherever it lands, and a slow stretch of the host moves
+   a minority of the episodes. *)
 let over t f = median (List.map f t.eps)
 
 let ops_per_s t =
-  let best = best_latencies t in
-  float_of_int (Array.length best) /. Array.fold_left ( +. ) 0. best
+  over t (fun e -> float_of_int (Array.length e.latency) /. Array.fold_left ( +. ) 0. e.latency)
 
 (* name, unit, value *)
 type metric = string * string * float
 
 let end_to_end t (stream : Gen.stream) : metric list =
-  let best = best_latencies t in
-  let kind read = List.filteri (fun i _ -> Gen.is_read stream.Gen.ops.(i) = read) (Array.to_list best) in
-  let updates = kind false and reads = kind true in
-  let ms xs p = percentile xs p *. 1e3 in
-  let n_ops = Array.length best and n_updates = List.length updates in
+  let kind read e =
+    List.filteri (fun i _ -> Gen.is_read stream.Gen.ops.(i) = read) (Array.to_list e.latency)
+  in
+  let ms read p = over t (fun e -> percentile (kind read e) p *. 1e3) in
+  let n_ops = Array.length stream.Gen.ops in
+  let n_updates = Array.fold_left (fun n op -> if Gen.is_read op then n else n + 1) 0 stream.Gen.ops in
   [
     ("setup_s", "s", over t (fun e -> e.setup_time));
     ("ops_per_s", "1/s", ops_per_s t);
-    ("update_p50_ms", "ms", ms updates 0.5);
-    ("update_p99_ms", "ms", ms updates 0.99);
-    ("read_p50_ms", "ms", ms reads 0.5);
-    ("read_p99_ms", "ms", ms reads 0.99);
+    ("update_p50_ms", "ms", ms false 0.5);
+    ("update_p99_ms", "ms", ms false 0.99);
+    ("read_p50_ms", "ms", ms true 0.5);
+    ("read_p99_ms", "ms", ms true 0.99);
     ("alloc_words_per_op", "words", over t (fun e -> per n_ops e.alloc));
     (* OCaml 5.1 never shrinks the major heap, so later episodes start
        from earlier ones' high-water mark: the first episode's peak is
@@ -522,7 +503,9 @@ let extras t (stream : Gen.stream) ~attempted ~failed : metric list =
     ("failed_frac", "ratio", per attempted (float_of_int failed));
   ]
 
-let per_layer t ~untraced_ops_per_s ~traced_ops_per_s : metric list =
+(* The per-layer metrics, and the two parts of [trace.unattributed_frac]
+   for the report. *)
+let per_layer t ~untraced_ops_per_s ~traced_ops_per_s : metric list * metric list =
   let open Probe in
   let recs = t.records in
   let n = List.length recs in
@@ -535,24 +518,33 @@ let per_layer t ~untraced_ops_per_s ~traced_ops_per_s : metric list =
   let bytes_spans r = c c_byte_send r +. c c_byte_drain r +. c c_byte_pending r in
   let msg_spans r = c c_msg_round r +. c c_msg_pending r in
   let journal_in_rounds r = c c_journal_us r -. r.call_journal_us in
-  let stage_self r =
-    if r.read then 0.
-    else Float.max 0. (c c_round_us r -. c c_fix_us r -. c c_msg_round r -. journal_in_rounds r)
-  in
-  let sync r = if r.read then 0. else Float.max 0. (r.settle_us -. c c_round_us r -. c c_msg_pending r) in
-  let ask_self r = if r.read then Float.max 0. (r.call_us -. c c_fix_us r) else 0. in
-  let write_self r = if r.read then 0. else r.call_us -. r.call_journal_us in
-  (* every op's time, split into layer self times *)
-  let self r =
-    c c_fix_us r +. c c_journal_us r +. ask_self r +. write_self r +. stage_self r +. sync r
-    +. msg_spans r
+  (* A parent span minus its measured children, and how far the children
+     overran it: an overrun means the attribution is broken. *)
+  let excess total parts = Float.max 0. (parts -. total) in
+  let rest total parts = Float.max 0. (total -. parts) in
+  let round_children r = c c_fix_us r +. c c_msg_round r +. journal_in_rounds r in
+  let stage_self r = if r.read then 0. else rest (c c_round_us r) (round_children r) in
+  let write_self r = if r.read then 0. else rest r.call_us r.call_journal_us in
+  (* The spans and histograms that measure an op directly, at its top
+     level: the user call, then the rounds and the quiescence checks of
+     the settle. What they leave of the op span is unattributed (wrapper
+     sync, the run loop itself, TCP polls): [wepic.sync_s] is that part
+     of an update. *)
+  let measured r = r.call_us +. if r.read then 0. else c c_round_us r +. c c_msg_pending r in
+  let unattributed r = rest r.op_us (measured r) in
+  let overrun r =
+    if r.read then excess r.call_us (c c_fix_us r)
+    else
+      excess r.call_us r.call_journal_us +. excess (c c_round_us r) (round_children r)
+      +. excess (msg_spans r) (bytes_spans r) +. excess r.op_us (measured r)
   in
   let updates = List.length (List.filter (fun r -> not r.read) recs) in
   let reads = n - updates in
+  let total = sum (fun r -> r.op_us) in
   let gauge f = per (List.length t.gauges) (List.fold_left (fun acc g -> acc +. f g) 0. t.gauges) in
   let growth = sum_w (fun r -> Float.max 0. (c c_intensional r)) in
   let derivations = sum_w (c c_derivations) in
-  [
+  ( [
     ("fixpoint.s", "s/op", s (c c_fix_us));
     ("fixpoint.iterations", "count/op", mean (c c_fix_iters));
     ("fixpoint.delta_stages", "count/op", mean (c c_delta_stages));
@@ -575,7 +567,7 @@ let per_layer t ~untraced_ops_per_s ~traced_ops_per_s : metric list =
     ("system.rounds", "count/op", mean (c c_rounds));
     ("system.round_s", "s/op", s (c c_round_us));
     ("system.transport_s", "s/op", if tcp then 0. else s msg_spans);
-    ("wepic.sync_s", "s/op", s sync);
+    ("wepic.sync_s", "s/op", s (fun r -> if r.read then 0. else unattributed r));
     ("wire.codec_s", "s/op", if tcp then s (fun r -> msg_spans r -. bytes_spans r) else 0.);
     ("wire.bytes", "B/op", mean (c c_wire_bytes));
     ("wire.frames", "count/op", mean (c c_wire_frames));
@@ -588,8 +580,10 @@ let per_layer t ~untraced_ops_per_s ~traced_ops_per_s : metric list =
     ("journal.append_s", "s/op", s (c c_journal_us));
     ("journal.entries", "count/op", mean (c c_journal_entries));
     ("trace.overhead_frac", "ratio", 1. -. (traced_ops_per_s /. untraced_ops_per_s));
-    ("trace.unattributed_frac", "ratio", 1. -. (sum self /. sum (fun r -> r.op_us)));
-  ]
+    ("trace.unattributed_frac", "ratio", (sum unattributed +. sum overrun) /. total);
+  ],
+    [ ("unmeasured part", "ratio", sum unattributed /. total);
+      ("overrun part", "ratio", sum overrun /. total) ] )
 
 let json_number x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
@@ -637,47 +631,26 @@ let run ~name ~seed ~seconds ~trace ~small ~state =
       (List.concat_map (fun t -> t.digests) all));
   let attempted = attempted + List.length (List.concat_map (fun t -> t.digests) all) in
   List.iter (fun f -> Printf.eprintf "failure: %s\n" f) !failures;
-  let metrics =
+  let metrics, report =
     if trace then
       per_layer traced ~untraced_ops_per_s:(ops_per_s plain) ~traced_ops_per_s:(ops_per_s traced)
-    else end_to_end plain wl.stream
+    else (end_to_end plain wl.stream, extras plain wl.stream ~attempted ~failed:!failed)
   in
-  let report = if trace then [] else extras plain wl.stream ~attempted ~failed:!failed in
   let reads = Array.fold_left (fun n op -> if Gen.is_read op then n + 1 else n) 0 wl.stream.Gen.ops in
   Printf.printf
     "workload %s seed %d: %d episodes of %d updates + %d reads (closed loop, one client); \
-     each op's latency is its best over %d untraced episodes, percentiles are over those \
-     per-op latencies; set-up is the median over episodes\n"
+     every figure is the median over %d untraced episodes of that episode's figure\n"
     name seed !k (Array.length wl.stream.Gen.ops - reads) reads (List.length plain.eps);
   Printf.printf "ocaml %s, %d usable hardware threads, WDL_DOMAINS effective %d\n"
-    Sys.ocaml_version (Array.length cpus) (Wdl_eval.Parallel.default_domains ());
+    Sys.ocaml_version (Domain.recommended_domain_count ()) (Wdl_eval.Parallel.default_domains ());
   List.iter (fun (n, u, v) -> Printf.printf "  %-28s %14.6g %s\n" n v u) (metrics @ report);
   { correct = !failed = 0; attempted; failed = !failed; metrics }
 
 let workloads = [ "tc_closure"; "wepic_tcp"; "wepic_inmem" ]
 
-(* Small sizes of every workload, traced and untraced: every oracle
-   must pass and every metric must be a finite number. *)
-let selftest ~state =
-  let ok = ref true in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun trace ->
-          let o = run ~name ~seed:1 ~seconds:0. ~trace ~small:true ~state in
-          let bad = List.filter (fun (_, _, v) -> not (Float.is_finite v)) o.metrics in
-          if (not o.correct) || bad <> [] || o.metrics = [] then begin
-            ok := false;
-            Printf.eprintf "selftest FAILED: %s trace=%b\n" name trace
-          end)
-        [ false; true ])
-    workloads;
-  rm_rf state;
-  if !ok then print_endline "selftest ok" else exit 1
-
 let () =
   let workload = ref "" and seed = ref 1 and seconds = ref 10. and trace = ref 0 in
-  let small = ref false and state = ref "perfbench/_state" and self = ref false in
+  let small = ref false and state = ref "perfbench/_state" in
   Arg.parse
     [
       ("--workload", Arg.Set_string workload, " " ^ String.concat "|" workloads);
@@ -686,12 +659,10 @@ let () =
       ("--trace", Arg.Set_int trace, " 1: traced run, per-layer metrics");
       ("--size", Arg.String (fun s -> small := s = "small"), " full|small");
       ("--state-dir", Arg.Set_string state, " journal directory");
-      ("--selftest", Arg.Set self, " run every workload at its small size");
     ]
     (fun a -> raise (Arg.Bad a))
     "wdlperf";
-  if !self then selftest ~state:!state
-  else if not (List.mem !workload workloads) then begin
+  if not (List.mem !workload workloads) then begin
     prerr_endline ("unknown workload " ^ !workload);
     exit 2
   end
