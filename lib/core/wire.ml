@@ -226,8 +226,12 @@ let decode_envelope text =
       | _ -> Error "malformed envelope header")
     | _ -> Error "missing envelope header")
 
+let decode_rejected () =
+  Wdl_net.Netstats.frames_rejected ~transport:"wire" ~reason:"decode"
+
 let transport (bytes : string Wdl_net.Transport.t) =
   let batch_size = Wdl_net.Netstats.batch_hist ~transport:"wire" () in
+  let rejected = decode_rejected () in
   {
     Wdl_net.Transport.send =
       (fun ~src ~dst msg -> bytes.Wdl_net.Transport.send ~src ~dst (encode msg));
@@ -252,7 +256,11 @@ let transport (bytes : string Wdl_net.Transport.t) =
            frames, so mixed-version traffic drains uniformly. *)
         List.concat_map
           (fun frame ->
-            match unbatch frame with Ok ms -> ms | Error _ -> [])
+            match unbatch frame with
+            | Ok ms -> ms
+            | Error _ ->
+              Wdl_obs.Obs.inc rejected;
+              [])
           (bytes.Wdl_net.Transport.drain name));
     pending = bytes.Wdl_net.Transport.pending;
     advance = bytes.Wdl_net.Transport.advance;
@@ -261,6 +269,7 @@ let transport (bytes : string Wdl_net.Transport.t) =
   }
 
 let envelope_transport (bytes : string Wdl_net.Transport.t) =
+  let rejected = decode_rejected () in
   {
     Wdl_net.Transport.send =
       (fun ~src ~dst env ->
@@ -276,7 +285,11 @@ let envelope_transport (bytes : string Wdl_net.Transport.t) =
       (fun name ->
         List.filter_map
           (fun frame ->
-            match decode_envelope frame with Ok e -> Some e | Error _ -> None)
+            match decode_envelope frame with
+            | Ok e -> Some e
+            | Error _ ->
+              Wdl_obs.Obs.inc rejected;
+              None)
           (bytes.Wdl_net.Transport.drain name));
     pending = bytes.Wdl_net.Transport.pending;
     advance = bytes.Wdl_net.Transport.advance;

@@ -28,8 +28,9 @@ val unbatch : string -> (Message.t list, string) result
     format) decodes as a singleton list. *)
 
 val transport : string Wdl_net.Transport.t -> Message.t Wdl_net.Transport.t
-(** Frames that fail to decode are dropped (counted nowhere: a
-    malformed frame from the outside world must not kill the peer).
+(** Frames that fail to decode are dropped — a malformed frame from
+    the outside world must not kill the peer — and counted in
+    [wdl_net_frames_rejected_total{transport="wire",reason="decode"}].
     [send_many] coalesces the batch into one {!batch} frame — one byte
     send, one wire unit. *)
 
@@ -50,4 +51,4 @@ val envelope_transport :
     frames, ready for {!Wdl_net.Reliable.wrap}:
     [Reliable.wrap (Wire.envelope_transport tcp)] is an exactly-once
     [Message.t] transport over real sockets. Undecodable frames are
-    dropped. *)
+    dropped and counted as in {!transport}. *)

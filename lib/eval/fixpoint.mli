@@ -68,18 +68,10 @@ val handles : self:string -> handles
     bundle to {!run} to keep registry lookups off the per-stage path.
     After a registry clear, resolve a fresh bundle. *)
 
-val par_runs_total : int ref
-(** Runs that actually engaged the parallel engine (mirrors
-    [wdl_par_iterations_total] at run granularity). Lets tests assert
-    that [?domains:1] — the sequential ablation — and the default take
-    the identical code path: the counter must not move. *)
-
 val run :
   ?strategy:strategy ->
   ?record_provenance:bool ->
   ?schedule:bool ->
-  ?domains:int ->
-  ?shards:int ->
   ?seed:(string * Wdl_store.Tuple.t) list ->
   ?program:Program.t ->
   ?handles:handles ->
@@ -117,19 +109,4 @@ val run :
     Scheduling never changes results — a skipped pair reads an empty
     delta and derives nothing — only which no-op plan executions are
     paid for; [~schedule:false] restores exhaustive execution (the
-    pre-optimization engine, kept as the bench baseline).
-
-    [domains] (default 1) runs semi-naive iterations on a pool of
-    worker domains: each relation's delta is sharded by the hash of
-    its interned first column ([shards] shards, default [domains];
-    worker = shard mod domains), workers evaluate the iteration's
-    activations against a frozen snapshot, and derived heads are
-    replayed through the master's dispatch at a merge barrier in
-    canonical (worker, push) order. Result sets are identical to the
-    sequential engine and both engines sort result lists canonically,
-    so journals, snapshots and trace fact order are byte-identical;
-    programs whose rules read same-stratum relations at non-delta
-    positions may report more [iterations] (never different facts).
-    [?domains:1] is the sequential ablation — it takes the unmodified
-    sequential path, as do provenance recording, [Naive] strategy and
-    [~schedule:false]. *)
+    pre-optimization engine, kept as the bench baseline). *)

@@ -1,123 +1,1 @@
-(* A tiny fork-join pool over OCaml 5 domains.
-
-   Domains are expensive to spawn (~hundreds of microseconds) and the
-   runtime caps how many may ever exist, so the pool keeps its workers
-   for the life of the process and grows on demand. The calling domain
-   participates as worker 0 — [run ~domains:n f] therefore spawns at
-   most [n - 1] domains.
-
-   Only the main domain drives stages (peers are staged sequentially
-   by [System.round]), so [run] assumes one caller at a time; a
-   re-entrant call from inside a worker falls back to sequential
-   execution rather than deadlocking the pool. *)
-
-type pool = {
-  m : Mutex.t;
-  work : Condition.t;  (* jobs arrived, or shutdown *)
-  idle : Condition.t;  (* a job finished *)
-  mutable jobs : (unit -> unit) list;
-  mutable pending : int;  (* queued + running jobs *)
-  mutable stop : bool;
-  mutable spawned : int;
-  mutable domains : unit Domain.t list;
-  mutable in_run : bool;
-}
-
-let pool =
-  {
-    m = Mutex.create ();
-    work = Condition.create ();
-    idle = Condition.create ();
-    jobs = [];
-    pending = 0;
-    stop = false;
-    spawned = 0;
-    domains = [];
-    in_run = false;
-  }
-
-let rec worker_loop () =
-  Mutex.lock pool.m;
-  while pool.jobs = [] && not pool.stop do
-    Condition.wait pool.work pool.m
-  done;
-  match pool.jobs with
-  | job :: rest ->
-    pool.jobs <- rest;
-    Mutex.unlock pool.m;
-    (* Jobs are wrapped by [run]; they never raise. *)
-    job ();
-    Mutex.lock pool.m;
-    pool.pending <- pool.pending - 1;
-    if pool.pending = 0 then Condition.broadcast pool.idle;
-    Mutex.unlock pool.m;
-    worker_loop ()
-  | [] -> Mutex.unlock pool.m (* stop *)
-
-(* Caller holds [pool.m]. *)
-let ensure_workers n =
-  while pool.spawned < n do
-    pool.domains <- Domain.spawn worker_loop :: pool.domains;
-    pool.spawned <- pool.spawned + 1
-  done
-
-let shutdown () =
-  Mutex.lock pool.m;
-  pool.stop <- true;
-  Condition.broadcast pool.work;
-  let doms = pool.domains in
-  pool.domains <- [];
-  pool.spawned <- 0;
-  Mutex.unlock pool.m;
-  List.iter Domain.join doms;
-  Mutex.lock pool.m;
-  pool.stop <- false;
-  Mutex.unlock pool.m
-
-let () = at_exit shutdown
-
-let spawned () = pool.spawned
-
-let run ~domains (f : int -> 'a) : 'a array =
-  if domains <= 1 then [| f 0 |]
-  else if pool.in_run then
-    (* Re-entrant (called from a worker): degrade to sequential. *)
-    Array.init domains f
-  else begin
-    let n = domains in
-    let results : 'a option array = Array.make n None in
-    let failures : exn option array = Array.make n None in
-    let wrap i () =
-      match f i with
-      | v -> results.(i) <- Some v
-      | exception e -> failures.(i) <- Some e
-    in
-    Mutex.lock pool.m;
-    pool.in_run <- true;
-    ensure_workers (n - 1);
-    pool.jobs <- List.init (n - 1) (fun k -> wrap (k + 1));
-    pool.pending <- n - 1;
-    Condition.broadcast pool.work;
-    Mutex.unlock pool.m;
-    wrap 0 ();
-    Mutex.lock pool.m;
-    while pool.pending > 0 do
-      Condition.wait pool.idle pool.m
-    done;
-    pool.in_run <- false;
-    Mutex.unlock pool.m;
-    Array.iter (function Some e -> raise e | None -> ()) failures;
-    Array.map (function Some v -> v | None -> assert false) results
-  end
-
-let default_domains =
-  let parsed =
-    lazy
-      (match Sys.getenv_opt "WDL_DOMAINS" with
-      | None -> 1
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | Some _ | None -> 1))
-  in
-  fun () -> Lazy.force parsed
+let default_domains () = 1

@@ -1,25 +1,5 @@
-(** A persistent fork-join pool over OCaml 5 domains.
-
-    The calling domain participates as worker 0, so [run ~domains:n f]
-    spawns at most [n - 1] domains; workers persist for the life of
-    the process and are joined at exit. One caller at a time (stages
-    run on the main domain); a re-entrant call degrades to sequential
-    execution. *)
-
-val run : domains:int -> (int -> 'a) -> 'a array
-(** [run ~domains f] evaluates [f 0 .. f (domains - 1)] concurrently
-    and returns the results in index order. Re-raises the first worker
-    exception (by index) after the barrier. [domains <= 1] calls [f 0]
-    inline with no pool involvement. *)
-
-val spawned : unit -> int
-(** Worker domains currently alive (excludes the caller). *)
-
-val shutdown : unit -> unit
-(** Stop and join all workers. The pool respawns on the next [run];
-    also registered [at_exit]. *)
-
 val default_domains : unit -> int
-(** The [WDL_DOMAINS] environment variable (>= 1), default [1] — the
-    knob CI's parallel matrix leg sets to route every peer's stage
-    through the parallel engine. *)
+(** Always [1]: evaluation is sequential. The sharded multi-domain
+    fixpoint that this knob once selected was removed because it ran
+    slower than the sequential engine on every measured workload; the
+    function stays only because the benchmark harness prints it. *)

@@ -82,6 +82,12 @@ let batch_hist ?registry ~transport () =
     ~buckets:[| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. |]
     "wdl_net_batch_size"
 
+let frames_rejected ~transport ~reason =
+  Wdl_obs.Obs.counter
+    ~labels:[ ("transport", transport); ("reason", reason) ]
+    ~help:"Received frames discarded without delivery, by reason"
+    "wdl_net_frames_rejected_total"
+
 let register_pending ?registry ~transport read =
   Wdl_obs.Obs.on_collect ?registry
     ~help:"Messages queued or in flight in the transport"

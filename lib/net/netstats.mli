@@ -46,6 +46,10 @@ val batch_hist :
 (** The [wdl_net_batch_size{transport=...}] histogram: messages per
     coalesced per-destination batch, one observation per [send_many]. *)
 
+val frames_rejected : transport:string -> reason:string -> Wdl_obs.Obs.counter
+(** The [wdl_net_frames_rejected_total{transport=...,reason=...}]
+    counter: received frames discarded without delivery. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints the base counters; the reliability counters are appended
     only when at least one of them is nonzero, so transports that never

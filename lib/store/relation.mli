@@ -66,18 +66,6 @@ val lookup_key :
     crosses the index threshold. A key value foreign to the pool
     answers instantly: nothing can match. *)
 
-val lookup_key_ro :
-  t -> int array -> Wdl_syntax.Value.t array -> (Tuple.t -> unit) -> unit
-(** Like {!lookup_key} but strictly read-only: never materialises an
-    index and never touches use counters, so concurrent readers (the
-    parallel fixpoint's worker domains) can probe one relation safely.
-    Falls back to a scan when no index exists — pre-build hot ones
-    with {!ensure_index}. *)
-
-val iter_first_id : (Tuple.t -> int -> unit) -> t -> unit
-(** Iterate tuples with the interned id of their first column — the
-    shard key for the parallel engine. Arity-0 tuples hand id 0. *)
-
 val ensure_index : t -> int array -> unit
 (** Materialise (and pin) the index on the given sorted positions now
     — explicit planner-driven index selection. No-op when present or

@@ -10,13 +10,18 @@ let ok' = function Ok v -> v | Error e -> Alcotest.fail e
 let suite =
   [
     tc "wire transport adapter drops malformed frames" (fun () ->
+        Wdl_obs.Obs.clear Wdl_obs.Obs.default;
         let bytes = Wdl_net.Inmem.create () in
         let msgs = Wire.transport bytes in
         bytes.Wdl_net.Transport.send ~src:"a" ~dst:"b" "not a frame at all";
         bytes.Wdl_net.Transport.send ~src:"a" ~dst:"b"
           (Wire.encode (Message.make ~src:"a" ~dst:"b" ~stage:1 ~facts:(Some []) ()));
         let delivered = msgs.Wdl_net.Transport.drain "b" in
-        check_int "only the valid one" 1 (List.length delivered));
+        check_int "only the valid one" 1 (List.length delivered);
+        check_int "the dropped frame is counted" 1
+          (Wdl_obs.Obs.counter_value
+             (Wdl_net.Netstats.frames_rejected ~transport:"wire"
+                ~reason:"decode")));
     tc "httpd turns handler exceptions into 500s" (fun () ->
         let server = Wdl_web.Httpd.start (fun _ -> failwith "boom") in
         Fun.protect
