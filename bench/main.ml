@@ -3,12 +3,12 @@
    The demo paper has no quantitative tables, so the experiment set is
    (a) its figures/scenarios turned into measured, checked runs
    (F2/F3/D1/D3) and (b) the engine microbenchmarks in the spirit of
-   the companion technical report (T1-T6). One Bechamel test per
+   the companion technical report (T2-T7). One Bechamel test per
    experiment measures wall time; count-based columns (rounds,
    messages, bytes) come from instrumented single runs.
 
    dune exec bench/main.exe            -- everything
-   dune exec bench/main.exe -- t1 t4   -- a subset *)
+   dune exec bench/main.exe -- t2 t5   -- a subset *)
 
 open Bechamel
 open Wdl_syntax
@@ -54,8 +54,8 @@ let tc_rules =
   [ Parser.parse_rule "tc@p($x,$y) :- edge@p($x,$y)";
     Parser.parse_rule "tc@p($x,$z) :- tc@p($x,$y), edge@p($y,$z)" ]
 
-let edge_db ?(indexing = true) edges =
-  let db = Wdl_store.Database.create ~indexing () in
+let edge_db edges =
+  let db = Wdl_store.Database.create () in
   (match
      Wdl_store.Database.declare db
        (Decl.make ~kind:Decl.Intensional ~rel:"tc" ~peer:"p" [ "x"; "y" ])
@@ -72,46 +72,6 @@ let edge_db ?(indexing = true) edges =
       | Error _ -> failwith "insert failed")
     edges;
   db
-
-let rel_cardinal db rel =
-  match Wdl_store.Database.find db rel with
-  | Some info -> Wdl_store.Relation.cardinal info.Wdl_store.Database.data
-  | None -> 0
-
-let run_fixpoint ?strategy db rules =
-  Wdl_store.Database.clear_intensional db;
-  match Wdl_eval.Fixpoint.run ?strategy ~self:"p" db rules with
-  | Ok r -> r
-  | Error _ -> failwith "fixpoint failed"
-
-(* {1 T1: semi-naive vs naive} *)
-
-let t1 () =
-  header "T1  local fixpoint: semi-naive vs naive (transitive closure)";
-  pf "%-22s %12s %14s %14s %9s@." "workload" "|tc|" "semi-naive" "naive" "speedup";
-  let cases =
-    [ ("chain n=64", Wdl_wepic.Workload.chain_edges ~n:64);
-      ("chain n=128", Wdl_wepic.Workload.chain_edges ~n:128);
-      ("random n=64 e=128", Wdl_wepic.Workload.random_edges ~seed:3 ~nodes:64 ~edges:128);
-      ("random n=128 e=256", Wdl_wepic.Workload.random_edges ~seed:3 ~nodes:128 ~edges:256);
-    ]
-  in
-  List.iter
-    (fun (label, edges) ->
-      let db = edge_db edges in
-      let time strategy =
-        let test =
-          Test.make ~name:label
-            (Staged.stage (fun () -> ignore (run_fixpoint ~strategy db tc_rules)))
-        in
-        match measure test with (_, ns) :: _ -> ns | [] -> nan
-      in
-      let semi = time Wdl_eval.Fixpoint.Seminaive in
-      let naive = time Wdl_eval.Fixpoint.Naive in
-      ignore (run_fixpoint db tc_rules);
-      pf "%-22s %12d %14s %14s %8.1fx@." label (rel_cardinal db "tc")
-        (pp_ns semi) (pp_ns naive) (naive /. semi))
-    cases
 
 (* {1 T2: delegation vs shipping the relation} *)
 
@@ -196,52 +156,6 @@ let t3 () =
       pf "%-10d %8d %10d %12d %14s@." attendees rounds
         stats.Wdl_net.Netstats.sent stats.Wdl_net.Netstats.bytes (pp_ns ns))
     [ 2; 4; 8; 16 ]
-
-(* {1 T4: index ablation} *)
-
-let t4 () =
-  header "T4  binding-pattern indexes: on vs off (selective join)";
-  pf "%-24s %14s %14s %9s@." "workload" "indexed" "scan" "speedup";
-  let rules = [ Parser.parse_rule "j@p($x,$y,$z) :- a@p($x,$y), b@p($y,$z)" ] in
-  List.iter
-    (fun n ->
-      let mk indexing =
-        let db = Wdl_store.Database.create ~indexing () in
-        (match
-           Wdl_store.Database.declare db
-             (Decl.make ~kind:Decl.Intensional ~rel:"j" ~peer:"p" [ "x"; "y"; "z" ])
-         with
-        | Ok _ -> ()
-        | Error _ -> failwith "declare failed");
-        for i = 0 to n - 1 do
-          (match
-             Wdl_store.Database.insert db ~rel:"a"
-               (Wdl_store.Tuple.of_list [ Value.Int i; Value.Int (i mod 100) ])
-           with
-          | Ok _ -> ()
-          | Error _ -> failwith "insert failed");
-          match
-            Wdl_store.Database.insert db ~rel:"b"
-              (Wdl_store.Tuple.of_list [ Value.Int (i mod 100); Value.Int i ])
-          with
-          | Ok _ -> ()
-          | Error _ -> failwith "insert failed"
-        done;
-        db
-      in
-      let time indexing =
-        let db = mk indexing in
-        let test =
-          Test.make ~name:(Printf.sprintf "join n=%d" n)
-            (Staged.stage (fun () -> ignore (run_fixpoint db rules)))
-        in
-        match measure test with (_, ns) :: _ -> ns | [] -> nan
-      in
-      let on = time true and off = time false in
-      pf "%-24s %14s %14s %8.1fx@."
-        (Printf.sprintf "n=%d (100 join keys)" n)
-        (pp_ns on) (pp_ns off) (off /. on))
-    [ 500; 2000 ]
 
 (* {1 T5: distributed transitive closure through delegation} *)
 
@@ -443,44 +357,6 @@ let d3 () =
     (List.length (Peer.query (Wdl_wepic.Wepic.attendee env "r_wepic") "wepic"));
   pf "email recipient inbox: %d@."
     (List.length (Wdl_wrappers.Email.inbox (Wdl_wepic.Wepic.email env) "r_email"))
-
-(* {1 A1: batch-diffing ablation} *)
-
-(* Mutual flows: p streams to q and q streams back — without batch
-   diffing every received (identical) batch triggers a fresh stage and
-   a fresh resend, so the pair never settles. *)
-let a1_setup ~diff () =
-  let sys = System.create () in
-  let p = System.add_peer sys ~diff_batches:diff "p" in
-  let q = System.add_peer sys ~diff_batches:diff "q" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "ext a@p(i);\n";
-  for i = 1 to 64 do
-    Buffer.add_string buf (Printf.sprintf "a@p(%d);\n" i)
-  done;
-  Buffer.add_string buf "b@q($x) :- a@p($x);\n";
-  ok (Peer.load_string p (Buffer.contents buf));
-  ok (Peer.load_string q "ext b@q(i); c@p($x) :- b@q($x);");
-  sys
-
-let a1 () =
-  header "A1  ablation: batch diffing (send-on-change) vs re-send every stage";
-  pf "%-10s %8s %10s %12s %12s@." "variant" "rounds" "messages" "bytes" "quiesces";
-  List.iter
-    (fun diff ->
-      let sys = a1_setup ~diff () in
-      (* Fixed-length run: without diffing the system never quiesces
-         (every received no-op batch triggers a resend), so compare a
-         20-round window. *)
-      for _ = 1 to 20 do
-        ignore (System.round sys)
-      done;
-      let stats = (System.transport sys).Wdl_net.Transport.stats () in
-      pf "%-10s %8d %10d %12d %12b@."
-        (if diff then "diff" else "resend")
-        20 stats.Wdl_net.Netstats.sent stats.Wdl_net.Netstats.bytes
-        (System.quiescent sys))
-    [ true; false ]
 
 (* {1 T7: substrate microbenchmarks} *)
 
@@ -2256,9 +2132,8 @@ let stream_smoke () =
   end
 
 let experiments =
-  [ ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5); ("t6", t6);
-    ("t7", t7); ("a1", a1); ("a2", a2); ("f2", f2); ("f3", f3); ("d1", d1);
-    ("d3", d3); ("d4", d4); ("ft", ft); ("ft-smoke", ft_smoke); ("obs", obs);
+  [ ("t2", t2); ("t3", t3); ("t5", t5); ("t6", t6); ("t7", t7); ("a2", a2);
+    ("f2", f2); ("f3", f3); ("d1", d1); ("d3", d3); ("d4", d4); ("ft", ft); ("ft-smoke", ft_smoke); ("obs", obs);
     ("eval", eval); ("eval-smoke", eval_smoke); ("net", net);
     ("net-smoke", net_smoke); ("chaos", chaos); ("chaos-smoke", chaos_smoke);
     ("stream", stream); ("stream-smoke", stream_smoke) ]

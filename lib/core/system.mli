@@ -37,12 +37,8 @@ val create :
 
 val add_peer :
   t ->
-  ?strategy:Wdl_eval.Fixpoint.strategy ->
   ?policy:Acl.policy ->
-  ?indexing:bool ->
-  ?diff_batches:bool ->
   ?incremental:bool ->
-  ?replan:bool ->
   ?inbox_capacity:int ->
   ?shed:Peer.shed_policy ->
   string ->

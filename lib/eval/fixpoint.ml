@@ -5,8 +5,6 @@ module Prog = Program
 open Wdl_syntax
 open Wdl_store
 
-type strategy = Seminaive | Naive
-
 type derivation = {
   fact : Fact.t;
   rule : Rule.t;
@@ -549,7 +547,7 @@ let seminaive_iteration st (stratum : Prog.stratum) =
     if skipped > 0 then Wdl_obs.Obs.inc ~by:skipped st.skipped_ctr
   end
 
-let run_stratum ?seed st strategy (stratum : Prog.stratum) =
+let run_stratum ?seed st (stratum : Prog.stratum) =
   st.delta <- Hashtbl.create 8;
   st.delta_next <- Hashtbl.create 8;
   (* Aggregate rules read complete lower strata, so they run once, up
@@ -579,12 +577,7 @@ let run_stratum ?seed st strategy (stratum : Prog.stratum) =
       st.delta <- st.delta_next;
       st.delta_next <- Hashtbl.create 8;
       st.iterations <- st.iterations + 1;
-      (match strategy with
-      | Naive ->
-        List.iter
-          (fun p -> eval_plan st ~delta_pos:None p)
-          stratum.Prog.plans
-      | Seminaive -> seminaive_iteration st stratum);
+      seminaive_iteration st stratum;
       loop ()
     end
   in
@@ -626,7 +619,7 @@ let handles ~self =
         "wdl_eval_plans_skipped_total";
   }
 
-let run ?(strategy = Seminaive) ?(record_provenance = false) ?(schedule = true)
+let run ?(record_provenance = false) ?(schedule = true)
     ?seed ?program ?handles:h ~self db rules =
   let compiled =
     match program with
@@ -673,7 +666,7 @@ let run ?(strategy = Seminaive) ?(record_provenance = false) ?(schedule = true)
       if Array.length prog.Prog.strata > 1 then None else seed
     in
     Wdl_obs.Obs.time h.stage_hist (fun () ->
-        Array.iter (run_stratum ?seed st strategy) prog.Prog.strata);
+        Array.iter (run_stratum ?seed st) prog.Prog.strata);
     Wdl_obs.Obs.observe h.iter_hist (float_of_int st.iterations);
     (* Canonical result assembly: derived sets are sorted, so journal
        writes, snapshots and trace fact order are a function of the

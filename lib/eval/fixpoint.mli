@@ -15,13 +15,13 @@
       remaining literals kept) is returned in [suspensions] — these
       become the paper's delegations.
 
-    Both semi-naive (default) and naive strategies implement identical
-    semantics; naive is kept as the benchmark baseline (T1). *)
+    Evaluation is semi-naive: after a first full pass, each iteration
+    joins only against the previous iteration's new tuples. The naive
+    strategy lives in {!Reference}, the independent oracle the tests
+    compare this engine against. *)
 
 (* No [open Wdl_syntax] here: it would shadow this library's [Program]
    module with the syntax-level one of the same name. *)
-
-type strategy = Seminaive | Naive
 
 type derivation = {
   fact : Wdl_syntax.Fact.t;
@@ -69,7 +69,6 @@ val handles : self:string -> handles
     After a registry clear, resolve a fresh bundle. *)
 
 val run :
-  ?strategy:strategy ->
   ?record_provenance:bool ->
   ?schedule:bool ->
   ?seed:(string * Wdl_store.Tuple.t) list ->

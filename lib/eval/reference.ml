@@ -1,6 +1,8 @@
 open Wdl_syntax
 open Wdl_store
 
+type strategy = Seminaive | Naive
+
 module Fact_tbl = Hashtbl.Make (struct
   type t = Fact.t
 
@@ -335,8 +337,8 @@ let run_stratum st strategy all_rules =
       st.delta_next <- Hashtbl.create 8;
       st.iterations <- st.iterations + 1;
       (match strategy with
-      | Fixpoint.Naive -> List.iter (fun r -> eval_rule st ~delta_pos:None r) rules
-      | Fixpoint.Seminaive ->
+      | Naive -> List.iter (fun r -> eval_rule st ~delta_pos:None r) rules
+      | Seminaive ->
         List.iter
           (fun r ->
             List.iter (fun p -> eval_rule st ~delta_pos:(Some p) r) (pos_positions r))
@@ -346,7 +348,7 @@ let run_stratum st strategy all_rules =
   in
   loop ()
 
-let run ?(strategy = Fixpoint.Seminaive) ?(record_provenance = false) ~self db
+let run ?(strategy = Seminaive) ?(record_provenance = false) ~self db
     rules =
   let intensional rel =
     match Database.kind db rel with

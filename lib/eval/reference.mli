@@ -11,8 +11,14 @@
     Same contract as {!Fixpoint.run}: mutates the database's
     intensional relations, returns the same {!Fixpoint.result}. *)
 
+type strategy = Seminaive | Naive
+(** Both iterate to the same fixpoint. [Naive] re-evaluates every rule
+    over the whole store each iteration; it is the textbook baseline
+    the tests compare {!Fixpoint}'s semi-naive engine against, and the
+    only naive evaluator in the code base. *)
+
 val run :
-  ?strategy:Fixpoint.strategy ->
+  ?strategy:strategy ->
   ?record_provenance:bool ->
   self:string ->
   Wdl_store.Database.t ->

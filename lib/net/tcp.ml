@@ -116,6 +116,8 @@ type control = {
   mutable conns_reused : int;
   mutable dead_letters : int;
   mutable closed : bool;
+  rejected_oversize : Wdl_obs.Obs.counter;
+  rejected_garbage : Wdl_obs.Obs.counter;
 }
 
 (* Frame layout on one connection: "<dst-bytes>\n<payload-bytes>\n" as
@@ -149,25 +151,37 @@ let connect_with_timeout sock addr timeout =
     | Some err -> raise (Unix.Unix_error (err, "connect", "")))
   | _, _, _ -> raise (Unix.Unix_error (Unix.ETIMEDOUT, "connect", ""))
 
-(* Incremental frame parser over a byte accumulation. *)
-type parse = Frame of string * string * int | Need_more | Garbage
+(* Incremental frame parser over a byte accumulation. [Garbage] carries
+   why the stream cannot be framed: a length past [max_frame], or a
+   header that is not two decimal lengths. *)
+type reject = Oversize | Malformed
+type parse = Frame of string * string * int | Need_more | Garbage of reject
 
 (* A frame header is two decimal lengths: anything longer than this
    without a newline cannot be one. *)
 let max_header = 24
 
+(* Without a bound one connection could announce a huge frame and grow
+   its read buffer without limit; 16 MiB is far above any frame this
+   system sends (a few hundred KB at most). *)
+let max_frame = 16 * 1024 * 1024
+
 let parse_frame_at data off =
   let len = String.length data in
   match String.index_from_opt data off '\n' with
-  | None -> if len - off > max_header then Garbage else Need_more
+  | None -> if len - off > max_header then Garbage Malformed else Need_more
   | Some i -> (
     match String.index_from_opt data (i + 1) '\n' with
-    | None -> if len - (i + 1) > max_header then Garbage else Need_more
+    | None ->
+      if len - (i + 1) > max_header then Garbage Malformed else Need_more
     | Some j -> (
       match
         ( int_of_string_opt (String.sub data off (i - off)),
           int_of_string_opt (String.sub data (i + 1) (j - i - 1)) )
       with
+      | Some dst_len, Some payload_len
+        when dst_len > max_frame || payload_len > max_frame ->
+        Garbage Oversize
       | Some dst_len, Some payload_len when dst_len >= 0 && payload_len >= 0 ->
         let body = j + 1 in
         if len >= body + dst_len + payload_len then
@@ -176,7 +190,7 @@ let parse_frame_at data off =
               String.sub data (body + dst_len) payload_len,
               body + dst_len + payload_len )
         else Need_more
-      | _, _ -> Garbage))
+      | _, _ -> Garbage Malformed))
 
 let queue ctl name =
   match Hashtbl.find_opt ctl.queues name with
@@ -202,6 +216,9 @@ let fresh_conn ctl ep =
    with e ->
      (try Unix.close sock with Unix.Unix_error _ -> ());
      raise e);
+  (* Frames are written whole; waiting to coalesce them only adds a
+     delayed-ACK stall to small request/response exchanges. *)
+  Unix.setsockopt sock Unix.TCP_NODELAY true;
   ctl.conns_opened <- ctl.conns_opened + 1;
   sock
 
@@ -311,7 +328,8 @@ let drop_inbound ctl ic =
 
 (* Cut every complete frame out of the connection's buffer; keep the
    partial tail for the next pump. A stream that cannot be a frame
-   (garbage header) severs the connection. *)
+   (garbage or oversize header) severs the connection, counted by
+   reason; frames before the bad header are still delivered. *)
 let extract_frames ctl ic =
   let data = Buffer.contents ic.ibuf in
   let len = String.length data in
@@ -320,12 +338,17 @@ let extract_frames ctl ic =
     | Frame (dst, payload, next) ->
       Queue.push payload (queue ctl dst);
       consume next
-    | Need_more -> Some off
-    | Garbage -> None
+    | Need_more -> Ok off
+    | Garbage reason -> Error reason
   in
   match consume 0 with
-  | None -> drop_inbound ctl ic
-  | Some off ->
+  | Error reason ->
+    Wdl_obs.Obs.inc
+      (match reason with
+      | Oversize -> ctl.rejected_oversize
+      | Malformed -> ctl.rejected_garbage);
+    drop_inbound ctl ic
+  | Ok off ->
     if off > 0 then begin
       let rest = String.sub data off (len - off) in
       Buffer.clear ic.ibuf;
@@ -416,6 +439,10 @@ let create ?(sizer = String.length) ?(port = 0) ?(reuse = true)
       conns_reused = 0;
       dead_letters = 0;
       closed = false;
+      rejected_oversize =
+        Netstats.frames_rejected ~transport:"tcp" ~reason:"oversize";
+      rejected_garbage =
+        Netstats.frames_rejected ~transport:"tcp" ~reason:"garbage";
     }
   in
   let stats = Netstats.create () in

@@ -23,7 +23,12 @@
     drained here) parks the same way rather than silently accumulating
     in a queue nobody reads. Connects are bounded by
     [connect_timeout]; a sender silent mid-frame for longer than
-    [read_timeout] loses the partial frame and its connection.
+    [read_timeout] loses the partial frame and its connection. A frame
+    header that announces more than {!max_frame} bytes, or is not a
+    header at all, severs its connection, counted in
+    [wdl_net_frames_rejected_total{transport="tcp",reason=...}] with
+    reason ["oversize"] or ["garbage"]; frames before it are delivered.
+    Outbound connections set [TCP_NODELAY].
     At-least/at-most-once gaps left by this best-effort discipline are
     what {!Reliable} (over {!Webdamlog.Wire.envelope_transport})
     closes.
@@ -32,6 +37,10 @@
     {!Webdamlog.Wire}. *)
 
 type endpoint = { host : string; port : int }
+
+val max_frame : int
+(** Largest destination name or payload, in bytes, a received frame
+    may announce (16 MiB). *)
 
 type control
 

@@ -275,13 +275,10 @@ let tests =
     QCheck.Test.make ~count:80
       ~name:"both engines agree under the naive strategy too" dspec_arb
       (fun spec ->
-        run_engine
-          (fun ~self db rules ->
-            Fixpoint.run ~strategy:Fixpoint.Naive ~self db rules)
-          spec
+        run_engine (fun ~self db rules -> Fixpoint.run ~self db rules) spec
         = run_engine
             (fun ~self db rules ->
-              Reference.run ~strategy:Fixpoint.Naive ~self db rules)
+              Reference.run ~strategy:Reference.Naive ~self db rules)
             spec);
     QCheck.Test.make ~count:60
       ~name:"provenance premises agree on derived facts" dspec_arb

@@ -74,10 +74,10 @@ let decls name =
        (fun rel -> Printf.sprintf "int %s@%s(x);" rel name)
        [ "v"; "pulled"; "dyn"; "big"; "fresh"; "vv" ])
 
-let build ?strategy ?transport spec =
+let build ?transport spec =
   let sys = System.create ?transport ~drop_unknown:true () in
   let peers =
-    List.init spec.n_peers (fun i -> System.add_peer sys ?strategy (peer_name i))
+    List.init spec.n_peers (fun i -> System.add_peer sys (peer_name i))
   in
   List.iteri
     (fun i peer ->
@@ -275,15 +275,6 @@ let tests =
           dump peers
         in
         base = dup);
-    QCheck.Test.make ~count:30
-      ~name:"naive and semi-naive peers reach the same global state" spec_arb
-      (fun spec ->
-        let go strategy =
-          let sys, peers = build ?strategy spec in
-          ignore (run_to_quiescence sys);
-          dump peers
-        in
-        go None = go (Some Wdl_eval.Fixpoint.Naive));
     QCheck.Test.make ~count:30
       ~name:"snapshot/restore after quiescence preserves every peer" spec_arb
       (fun spec ->

@@ -221,4 +221,51 @@ let suite =
         Alcotest.check (Alcotest.list Alcotest.string) "subsequent frames ok"
           [ "still alive" ] (t.Transport.drain "b");
         Tcp.close c);
+    tc "tcp: oversize and garbage headers sever the connection, counted"
+      (fun () ->
+        Wdl_obs.Obs.clear Wdl_obs.Obs.default;
+        let t, c = Tcp.create () in
+        let rejected reason =
+          Wdl_obs.Obs.counter_value
+            (Netstats.frames_rejected ~transport:"tcp" ~reason)
+        in
+        (* One valid frame to "b", then a bad header, on a raw socket. *)
+        let valid = "1\n2\nbok" in
+        let attack ~bad ~reason =
+          let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+          Unix.connect sock
+            (Unix.ADDR_INET (Unix.inet_addr_loopback, Tcp.port c));
+          let bytes = valid ^ bad in
+          ignore (Unix.write_substring sock bytes 0 (String.length bytes));
+          let got = ref [] in
+          let deadline = Unix.gettimeofday () +. 2.0 in
+          while
+            (!got = [] || rejected reason = 0)
+            && Unix.gettimeofday () < deadline
+          do
+            got := !got @ t.Transport.drain "b";
+            Unix.sleepf 0.005
+          done;
+          Alcotest.check (Alcotest.list Alcotest.string)
+            (reason ^ ": frame before the bad header delivered") [ "ok" ] !got;
+          (* Severed: the next read sees end-of-stream or a reset. *)
+          let severed =
+            match Unix.select [ sock ] [] [] 2.0 with
+            | [], _, _ -> false
+            | _ -> (
+              match Unix.read sock (Bytes.create 1) 0 1 with
+              | 0 -> true
+              | _ -> false
+              | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+          in
+          Unix.close sock;
+          check_bool (reason ^ ": connection severed") severed
+        in
+        attack
+          ~bad:(Printf.sprintf "1\n%d\n" (Tcp.max_frame + 1))
+          ~reason:"oversize";
+        attack ~bad:"not\na header\n" ~reason:"garbage";
+        check_int "one oversize rejection" 1 (rejected "oversize");
+        check_int "one garbage rejection" 1 (rejected "garbage");
+        Tcp.close c);
   ]

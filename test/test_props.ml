@@ -202,7 +202,7 @@ let tests =
           (List.init 12 (fun i -> i)));
     QCheck.Test.make ~count:50 ~name:"seminaive equals naive on random TC"
       (QCheck.make edges_gen) (fun edges ->
-        let mk strategy =
+        let mk run =
           let db = Database.create () in
           ignore
             (Database.declare db
@@ -217,7 +217,7 @@ let tests =
             [ Parser.parse_rule "tc@p($x,$y) :- edge@p($x,$y)";
               Parser.parse_rule "tc@p($x,$z) :- tc@p($x,$y), edge@p($y,$z)" ]
           in
-          match Wdl_eval.Fixpoint.run ~strategy ~self:"p" db rules with
+          match run ~self:"p" db rules with
           | Ok _ ->
             (match Database.find db "tc" with
             | Some info -> Relation.to_sorted_list info.Database.data
@@ -225,8 +225,10 @@ let tests =
           | Error _ -> []
         in
         List.equal Tuple.equal
-          (mk Wdl_eval.Fixpoint.Seminaive)
-          (mk Wdl_eval.Fixpoint.Naive));
+          (mk (fun ~self db rules -> Wdl_eval.Fixpoint.run ~self db rules))
+          (mk (fun ~self db rules ->
+               Wdl_eval.Reference.run ~strategy:Wdl_eval.Reference.Naive ~self
+                 db rules)));
     QCheck.Test.make ~count:30
       ~name:"distributed view equals the centralised join"
       (QCheck.make
