@@ -306,8 +306,9 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
       let arity = Array.length m.Plan.args in
       (* The binding pattern is static (plan.bpos/bsrc): fill the flat
          probe key from constants and bound slots, then let the store
-         walk the matching tuples — no per-call association list, no
-         per-tuple trail. *)
+         walk the matching rows — no per-call association list, no
+         per-tuple trail, and only the columns the plan reads are
+         decoded from the pool. *)
       let np = Array.length m.Plan.bpos in
       let key = Array.make np (Value.Int 0) in
       let run_source relation =
@@ -321,12 +322,12 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
               (* Statically bound: a linear plan binds deterministically. *)
               assert false)
         done;
-        Relation.lookup_key relation m.Plan.bpos key (fun tuple ->
+        Relation.lookup_key relation m.Plan.bpos key (fun slot ->
             let binds = m.Plan.out_binds in
             let nb = Array.length binds in
             for j = 0 to nb - 1 do
               let i, s = binds.(j) in
-              env.(s) <- Some tuple.(i)
+              env.(s) <- Some (Relation.get relation slot i)
             done;
             let checks = m.Plan.out_checks in
             let nc = Array.length checks in
@@ -334,7 +335,9 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
             for j = 0 to nc - 1 do
               let i, s = checks.(j) in
               match env.(s) with
-              | Some v -> if not (Value.equal v tuple.(i)) then ok := false
+              | Some v ->
+                if not (Value.equal v (Relation.get relation slot i)) then
+                  ok := false
               | None -> assert false
             done;
             if !ok then step rest;

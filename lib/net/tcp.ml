@@ -118,6 +118,8 @@ type control = {
   mutable closed : bool;
   rejected_oversize : Wdl_obs.Obs.counter;
   rejected_garbage : Wdl_obs.Obs.counter;
+  rejected_stalled : Wdl_obs.Obs.counter;
+  rejected_truncated : Wdl_obs.Obs.counter;
 }
 
 (* Frame layout on one connection: "<dst-bytes>\n<payload-bytes>\n" as
@@ -326,10 +328,16 @@ let drop_inbound ctl ic =
   Hashtbl.remove ctl.inbound ic.fd;
   try Unix.close ic.fd with Unix.Unix_error _ -> ()
 
+(* Close a connection that loses bytes, counted by [reason]. *)
+let sever ctl ic reason =
+  Wdl_obs.Obs.inc reason;
+  drop_inbound ctl ic
+
 (* Cut every complete frame out of the connection's buffer; keep the
    partial tail for the next pump. A stream that cannot be a frame
    (garbage or oversize header) severs the connection, counted by
-   reason; frames before the bad header are still delivered. *)
+   reason; frames before the bad header are still delivered. [false]
+   iff the connection was severed. *)
 let extract_frames ctl ic =
   let data = Buffer.contents ic.ibuf in
   let len = String.length data in
@@ -342,24 +350,22 @@ let extract_frames ctl ic =
     | Garbage reason -> Error reason
   in
   match consume 0 with
-  | Error reason ->
-    Wdl_obs.Obs.inc
-      (match reason with
-      | Oversize -> ctl.rejected_oversize
-      | Malformed -> ctl.rejected_garbage);
-    drop_inbound ctl ic
+  | Error Oversize -> sever ctl ic ctl.rejected_oversize; false
+  | Error Malformed -> sever ctl ic ctl.rejected_garbage; false
   | Ok off ->
     if off > 0 then begin
       let rest = String.sub data off (len - off) in
       Buffer.clear ic.ibuf;
       Buffer.add_string ic.ibuf rest
-    end
+    end;
+    true
 
 (* Accept pending connections and read whatever each open one has
    ready, without ever blocking: per-connection buffers mean a stalled
    or slow writer delays only its own frames (no head-of-line
-   blocking), and a writer silent mid-frame past [read_timeout] is
-   dropped. *)
+   blocking). A writer silent mid-frame past [read_timeout], or a
+   stream that ends mid-frame, loses the partial frame, counted as
+   ["stalled"] / ["truncated"]. *)
 let pump ctl stats =
   if not ctl.closed then begin
     retry_parked ctl stats;
@@ -393,13 +399,13 @@ let pump ctl stats =
           | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> closed := true
         in
         read_ready ();
-        extract_frames ctl ic;
-        if !closed then drop_inbound ctl ic
-        else if Buffer.length ic.ibuf > 0 && now -. ic.last > ctl.read_timeout
-        then
-          (* Mid-frame and silent past the patience bound: the partial
-             frame is dropped, exactly as the bounded reader used to. *)
-          drop_inbound ctl ic)
+        if extract_frames ctl ic then
+          let partial = Buffer.length ic.ibuf > 0 in
+          if !closed then
+            if partial then sever ctl ic ctl.rejected_truncated
+            else drop_inbound ctl ic
+          else if partial && now -. ic.last > ctl.read_timeout then
+            sever ctl ic ctl.rejected_stalled)
       conns
   end
 
@@ -443,6 +449,10 @@ let create ?(sizer = String.length) ?(port = 0) ?(reuse = true)
         Netstats.frames_rejected ~transport:"tcp" ~reason:"oversize";
       rejected_garbage =
         Netstats.frames_rejected ~transport:"tcp" ~reason:"garbage";
+      rejected_stalled =
+        Netstats.frames_rejected ~transport:"tcp" ~reason:"stalled";
+      rejected_truncated =
+        Netstats.frames_rejected ~transport:"tcp" ~reason:"truncated";
     }
   in
   let stats = Netstats.create () in

@@ -22,12 +22,14 @@
     neither registered nor known to live in this process (it has never
     drained here) parks the same way rather than silently accumulating
     in a queue nobody reads. Connects are bounded by
-    [connect_timeout]; a sender silent mid-frame for longer than
-    [read_timeout] loses the partial frame and its connection. A frame
-    header that announces more than {!max_frame} bytes, or is not a
-    header at all, severs its connection, counted in
+    [connect_timeout]. A frame header that announces more than
+    {!max_frame} bytes, or is not a header at all, severs its
+    connection; frames before it are delivered. A sender silent
+    mid-frame for longer than [read_timeout], or a stream that ends
+    mid-frame, loses the partial frame and its connection. Each of
+    these is counted in
     [wdl_net_frames_rejected_total{transport="tcp",reason=...}] with
-    reason ["oversize"] or ["garbage"]; frames before it are delivered.
+    reason ["oversize"], ["garbage"], ["stalled"] or ["truncated"].
     Outbound connections set [TCP_NODELAY].
     At-least/at-most-once gaps left by this best-effort discipline are
     what {!Reliable} (over {!Webdamlog.Wire.envelope_transport})

@@ -1,23 +1,21 @@
 (** A relation instance: a set of same-arity tuples stored columnar
     over an intern pool.
 
-    Internally every tuple is a flat run of interned ids in one [int
-    array] (plus the caller's boxed tuple for zero-cost hand-back), so
-    dedup, index keys and bound scans are pure int work. Binding
-    pattern indexes on positions [{i1 < … < ik}] map the interned
-    projection to the matching slots:
+    Every tuple is stored once, as a flat run of interned ids in one
+    [int array], so dedup, index keys and bound scans are pure int
+    work. The engine's join reads matching rows by slot through
+    {!lookup_key} and {!get}; the tuple-level reads ({!iter}, {!fold},
+    {!to_list}, {!lookup}) decode a fresh tuple per row and serve the
+    boundaries (queries, snapshots, dumps, the [Reference]
+    oracle). Decoded values are the pool's representatives: equal
+    under {!Wdl_syntax.Value.equal} to what was inserted, not
+    necessarily the same boxes.
 
-    - {!lookup_key} (the compiled-plan path) and {!ensure_index} build
-      indexes eagerly and {e pin} them — the planner asked, so reuse
-      is certain;
-    - {!lookup} (the ad-hoc path) builds an index only from the second
-      probe of a signature on — one-off probes scan;
-    - at most a fixed number of indexes live per relation; crossing the
-      cap evicts the least-used unpinned one (both counted by
-      [wdl_store_index_builds_total] / [wdl_store_index_evictions_total]).
-
-    [~indexing:false] disables index creation (used for one-iteration
-    delta relations). *)
+    One index policy: a probe with bound positions [{i1 < … < ik}]
+    builds the index on those positions once the relation holds
+    [index_threshold] (16) tuples, and keeps it. Builds are counted by
+    [wdl_store_index_builds_total]. [~indexing:false] disables index
+    creation (used for one-iteration delta relations). *)
 
 type t
 
@@ -55,21 +53,22 @@ val to_sorted_list : t -> Tuple.t list
 val lookup : t -> (int * Wdl_syntax.Value.t) list -> (Tuple.t -> unit) -> unit
 (** [lookup rel bound f] calls [f] on every tuple agreeing with the
     [(position, value)] constraints. [bound] may be empty (full
-    scan). Ad-hoc path: indexes materialise only for repeated
-    signatures. *)
+    scan). Same index policy as {!lookup_key}. *)
 
 val lookup_key :
-  t -> int array -> Wdl_syntax.Value.t array -> (Tuple.t -> unit) -> unit
-(** [lookup_key rel positions key f]: the compiled-plan fast path.
-    [positions] must be sorted ascending and [key] aligned with it.
-    Builds (and pins) the index for [positions] once the relation
-    crosses the index threshold. A key value foreign to the pool
-    answers instantly: nothing can match. *)
+  t -> int array -> Wdl_syntax.Value.t array -> (int -> unit) -> unit
+(** [lookup_key rel positions key f]: the compiled-plan path. Calls
+    [f] on the slot of every row agreeing with [key] on [positions];
+    read its columns with {!get}. [positions] must be sorted ascending
+    and [key] aligned with it; empty [positions] scans every row. A
+    key value foreign to the pool answers instantly: nothing can
+    match. Slots stay valid while the callback inserts (the fixpoint
+    derives into the relation it reads), not across a {!delete} or
+    {!clear}. *)
 
-val ensure_index : t -> int array -> unit
-(** Materialise (and pin) the index on the given sorted positions now
-    — explicit planner-driven index selection. No-op when present or
-    when indexing is disabled. *)
+val get : t -> int -> int -> Wdl_syntax.Value.t
+(** [get rel slot i]: column [i] of the row at [slot], read from the
+    pool with no tuple allocated. *)
 
 val clear : t -> unit
 val copy : t -> t
@@ -79,14 +78,9 @@ val copy : t -> t
 val index_count : t -> int
 (** Number of materialised indexes (observability for tests/bench). *)
 
-val index_uses : t -> (int list * int) list
-(** [(positions, use count)] per index. *)
-
 val memory_bytes : t -> int
-(** Approximate heap footprint of rows, dedup table, boxed spines and
-    index structures (pool excluded — it is shared). *)
+(** Approximate heap footprint of rows, dedup table and index
+    structures (pool excluded — it is shared). *)
 
 val builds_total : int ref
 (** Process-wide index builds (mirrors [wdl_store_index_builds_total]). *)
-
-val evictions_total : int ref

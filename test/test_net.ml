@@ -4,6 +4,9 @@ let tc name f = Alcotest.test_case name `Quick f
 let check_bool msg = Alcotest.check Alcotest.bool msg true
 let check_int msg = Alcotest.check Alcotest.int msg
 
+let rejected_count reason =
+  Wdl_obs.Obs.counter_value (Netstats.frames_rejected ~transport:"tcp" ~reason)
+
 let suite =
   [
     tc "inmem: immediate FIFO delivery" (fun () ->
@@ -204,6 +207,7 @@ let suite =
         Tcp.close c);
     tc "tcp: read_all is bounded; a stalled writer only loses its frame"
       (fun () ->
+        Wdl_obs.Obs.clear Wdl_obs.Obs.default;
         let t, c = Tcp.create ~read_timeout:0.15 () in
         let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         Unix.connect sock
@@ -213,22 +217,70 @@ let suite =
         let t0 = Unix.gettimeofday () in
         let got = t.Transport.drain "whoever" in
         let elapsed = Unix.gettimeofday () -. t0 in
-        Unix.close sock;
         check_int "partial frame dropped" 0 (List.length got);
         check_bool "returned promptly, not hung" (elapsed < 2.0);
+        (* Pump past [read_timeout]: the silent connection is dropped
+           and counted. *)
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        while rejected_count "stalled" = 0 && Unix.gettimeofday () < deadline do
+          ignore (t.Transport.pending ());
+          Unix.sleepf 0.01
+        done;
+        Unix.close sock;
+        check_int "stall counted" 1 (rejected_count "stalled");
+        check_int "not counted as truncated" 0 (rejected_count "truncated");
         (* The transport still works afterwards. *)
         t.Transport.send ~src:"a" ~dst:"b" "still alive";
         Alcotest.check (Alcotest.list Alcotest.string) "subsequent frames ok"
           [ "still alive" ] (t.Transport.drain "b");
         Tcp.close c);
+    tc "tcp: a stream that ends mid-frame loses that frame, counted"
+      (fun () ->
+        Wdl_obs.Obs.clear Wdl_obs.Obs.default;
+        let t, c = Tcp.create () in
+        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect sock
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, Tcp.port c));
+        (* One whole frame to "b", then half of the next, then EOF. *)
+        let bytes = "1\n2\nbok1\n5\nbhal" in
+        ignore (Unix.write_substring sock bytes 0 (String.length bytes));
+        Unix.shutdown sock Unix.SHUTDOWN_SEND;
+        let got = ref [] in
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        while
+          rejected_count "truncated" = 0 && Unix.gettimeofday () < deadline
+        do
+          got := !got @ t.Transport.drain "b";
+          Unix.sleepf 0.005
+        done;
+        got := !got @ t.Transport.drain "b";
+        Unix.close sock;
+        Alcotest.check (Alcotest.list Alcotest.string)
+          "whole frame delivered, partial one dropped" [ "ok" ] !got;
+        check_int "truncation counted" 1 (rejected_count "truncated");
+        check_int "not counted as stalled" 0 (rejected_count "stalled");
+        (* A clean close between frames loses nothing and counts
+           nothing. *)
+        let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.connect sock
+          (Unix.ADDR_INET (Unix.inet_addr_loopback, Tcp.port c));
+        ignore (Unix.write_substring sock "1\n2\nbk2" 0 7);
+        Unix.close sock;
+        let got = ref [] in
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        while !got = [] && Unix.gettimeofday () < deadline do
+          got := !got @ t.Transport.drain "b";
+          Unix.sleepf 0.005
+        done;
+        ignore (t.Transport.pending ());
+        Alcotest.check (Alcotest.list Alcotest.string) "clean close delivers"
+          [ "k2" ] !got;
+        check_int "clean close not counted" 1 (rejected_count "truncated");
+        Tcp.close c);
     tc "tcp: oversize and garbage headers sever the connection, counted"
       (fun () ->
         Wdl_obs.Obs.clear Wdl_obs.Obs.default;
         let t, c = Tcp.create () in
-        let rejected reason =
-          Wdl_obs.Obs.counter_value
-            (Netstats.frames_rejected ~transport:"tcp" ~reason)
-        in
         (* One valid frame to "b", then a bad header, on a raw socket. *)
         let valid = "1\n2\nbok" in
         let attack ~bad ~reason =
@@ -240,7 +292,7 @@ let suite =
           let got = ref [] in
           let deadline = Unix.gettimeofday () +. 2.0 in
           while
-            (!got = [] || rejected reason = 0)
+            (!got = [] || rejected_count reason = 0)
             && Unix.gettimeofday () < deadline
           do
             got := !got @ t.Transport.drain "b";
@@ -265,7 +317,7 @@ let suite =
           ~bad:(Printf.sprintf "1\n%d\n" (Tcp.max_frame + 1))
           ~reason:"oversize";
         attack ~bad:"not\na header\n" ~reason:"garbage";
-        check_int "one oversize rejection" 1 (rejected "oversize");
-        check_int "one garbage rejection" 1 (rejected "garbage");
+        check_int "one oversize rejection" 1 (rejected_count "oversize");
+        check_int "one garbage rejection" 1 (rejected_count "garbage");
         Tcp.close c);
   ]

@@ -430,6 +430,107 @@ let tests =
         && List.equal Tuple.equal
              (Relation.to_sorted_list r)
              (List.sort Tuple.compare (List.map tup !model)));
+    (* Store oracle over mixed values: random inserts, deletes, clears,
+       copies and probes, with every read path checked against a list
+       model after each step. The domain holds both [Float 0.] and
+       [Float (-0.)], which are [Value.equal]: reads must agree with
+       the model under [Value.equal] and hand back the pool's
+       representative, whichever box was inserted. *)
+    QCheck.Test.make ~count:200
+      ~name:"store read paths agree with a list model on mixed values"
+      (let domain =
+         [| Value.Int 0; Value.Int 1; Value.Float 0.; Value.Float (-0.);
+            Value.Float 1.5; Value.String ""; Value.String "a";
+            Value.Bool true |]
+       in
+       let value = QCheck.Gen.(map (Array.get domain) (int_bound 7)) in
+       let tuple = QCheck.Gen.array_size (QCheck.Gen.return 3) value in
+       let op =
+         QCheck.Gen.(
+           frequency
+             [ (24, map (fun t -> `Insert t) tuple);
+               (6, map (fun t -> `Delete t) tuple);
+               (1, return `Clear);
+               (2, map (fun t -> `Copy t) tuple);
+               ( 8,
+                 map2
+                   (fun mask t -> `Probe (mask, t))
+                   (int_bound 7) tuple ) ])
+       in
+       QCheck.make
+         ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+         QCheck.Gen.(list_size (int_range 0 200) op))
+      (fun ops ->
+        let r = ref (Relation.create ~arity:3 ()) in
+        let model = ref [] in
+        let sorted l = List.sort Tuple.compare l in
+        let same a b = List.equal Tuple.equal (sorted a) (sorted b) in
+        let signatures = Hashtbl.create 8 in
+        let pooled (t : Tuple.t) =
+          Array.for_all
+            (fun v ->
+              match Intern.find (Relation.pool !r) v with
+              | Some id -> Intern.value (Relation.pool !r) id == v
+              | None -> false)
+            t
+        in
+        let decode r s = Array.init 3 (Relation.get r s) in
+        let consistent () =
+          let seen = ref [] in
+          Relation.iter (fun t -> seen := t :: !seen) !r;
+          Relation.cardinal !r = List.length !model
+          && same !seen !model
+          && List.for_all pooled !seen
+          && List.equal Tuple.equal (Relation.to_sorted_list !r) (sorted !model)
+          && List.for_all (Relation.mem !r) !model
+          && Relation.index_count !r <= Hashtbl.length signatures
+        in
+        List.for_all
+          (fun op ->
+            (match op with
+            | `Insert t ->
+              let fresh = not (List.exists (Tuple.equal t) !model) in
+              if fresh then model := t :: !model;
+              Relation.insert !r t = fresh && Relation.mem !r t
+            | `Delete t ->
+              let present = List.exists (Tuple.equal t) !model in
+              model := List.filter (fun u -> not (Tuple.equal t u)) !model;
+              Relation.delete !r t = present && not (Relation.mem !r t)
+            | `Clear ->
+              Relation.clear !r;
+              model := [];
+              true
+            | `Copy t ->
+              (* Carry on with the copy; writes to the original must
+                 not reach it. *)
+              let original = !r in
+              r := Relation.copy original;
+              ignore (Relation.insert original t);
+              List.iter (fun u -> ignore (Relation.delete original u)) !model;
+              true
+            | `Probe (mask, key) ->
+              let positions =
+                List.filter (fun i -> mask land (1 lsl i) <> 0) [ 0; 1; 2 ]
+              in
+              if positions <> [] then Hashtbl.replace signatures positions ();
+              let want =
+                List.filter
+                  (fun t ->
+                    List.for_all (fun i -> Value.equal t.(i) key.(i)) positions)
+                  !model
+              in
+              let by_lookup = ref [] and by_slot = ref [] in
+              Relation.lookup !r
+                (List.map (fun i -> (i, key.(i))) positions)
+                (fun t -> by_lookup := t :: !by_lookup);
+              Relation.lookup_key !r (Array.of_list positions)
+                (Array.of_list (List.map (Array.get key) positions))
+                (fun s -> by_slot := decode !r s :: !by_slot);
+              same !by_lookup want && same !by_slot want
+              && List.for_all pooled !by_lookup
+              && List.for_all pooled !by_slot)
+            && consistent ())
+          ops);
     QCheck.Test.make ~count:500 ~name:"intern round-trips every value"
       (QCheck.make
          QCheck.Gen.(

@@ -46,14 +46,16 @@ let suite =
         for i = 0 to 99 do
           ignore (Relation.insert r (t [ i mod 10; i ]))
         done;
+        let builds = !Relation.builds_total in
         let hits = collect_lookup r [ (0, Value.Int 3) ] in
         check_int "bucket" 10 (List.length hits);
-        (* Ad-hoc probes build the index on the second use of a
-           signature, not the first. *)
-        check_int "no index on first probe" 0 (Relation.index_count r);
+        (* One policy: the first probe past the threshold builds the
+           index on its signature, and later probes reuse it. *)
+        check_int "index on first probe" 1 (Relation.index_count r);
         check_int "bucket again" 10
           (List.length (collect_lookup r [ (0, Value.Int 3) ]));
-        check_int "one index" 1 (Relation.index_count r);
+        check_int "still one index" 1 (Relation.index_count r);
+        check_int "built once" (builds + 1) !Relation.builds_total;
         (* Index maintained across inserts and deletes. *)
         ignore (Relation.insert r (t [ 3; 1000 ]));
         ignore (Relation.delete r (t [ 3; 3 ]));
@@ -78,6 +80,19 @@ let suite =
         let bound = [ (0, Value.Int 2); (1, Value.Int 3) ] in
         check_bool "same results"
           (List.equal Tuple.equal (collect_lookup a bound) (collect_lookup b bound)));
+    tc "relation: reads return the pool's representative" (fun () ->
+        (* [Float 0.] and [Float (-0.)] are [Value.equal], so they share
+           one pool id: a relation storing [-0.] after another on the
+           same pool stored [0.] reads back [0.]. *)
+        let a = Relation.create ~arity:1 () in
+        let b = Relation.create ~pool:(Relation.pool a) ~arity:1 () in
+        ignore (Relation.insert a [| Value.Float 0. |]);
+        check_bool "new in b" (Relation.insert b [| Value.Float (-0.) |]);
+        check_bool "mem -0." (Relation.mem b [| Value.Float (-0.) |]);
+        match Relation.to_list b with
+        | [ [| Value.Float f |] ] ->
+          check_bool "the pool's +0." (not (Float.sign_bit f))
+        | _ -> Alcotest.fail "one float row expected");
     tc "relation: copy is independent" (fun () ->
         let r = Relation.create ~arity:1 () in
         ignore (Relation.insert r (t [ 1 ]));
